@@ -8,11 +8,15 @@
 //! serial/parallel pair also asserts the router's determinism contract:
 //! both runs must emit byte-identical CIF, which is what lets the
 //! incremental cache key P&R products on (netlist, stack, floorplan)
-//! alone.
+//! alone. Before timing, each point also holds the placement order and
+//! the LVS signature to their quadratic oracles.
 
 use silc_cif::CifWriter;
 use silc_drc::RuleSet;
-use silc_pnr::{gen::random_netlist, place_and_route, Floorplan, RouteStack};
+use silc_pnr::{
+    gen::random_netlist, greedy_order_oracle, place, place_and_route, Floorplan, RouteStack,
+};
+use silc_trace::Tracer;
 use std::time::Instant;
 
 /// One (cells, seed) run of the corpus.
@@ -62,10 +66,34 @@ impl PnrRow {
 pub const CORPUS: &[(usize, u64)] = &[(4, 3), (8, 3), (12, 3), (16, 3), (24, 3), (32, 2), (40, 2)];
 
 /// Routes one seeded netlist serial and parallel, with all checks.
+///
+/// # Panics
+///
+/// When the placement order or the netlist signature departs from its
+/// quadratic oracle, checked before anything is timed.
 pub fn run_one(cells: usize, seed: u64) -> PnrRow {
     let netlist = random_netlist(seed, cells);
     let stack = RouteStack::mead_conway_nmos();
     let floorplan = Floorplan::squarish(cells);
+
+    let placed =
+        place(&netlist, &stack, &floorplan, &Tracer::disabled()).expect("corpus nets place");
+    let oracle_order = greedy_order_oracle(&netlist);
+    assert!(
+        placed
+            .cells
+            .iter()
+            .map(|c| c.instance.as_str())
+            .eq(oracle_order
+                .iter()
+                .map(|&i| netlist.instances()[i].name.as_str())),
+        "placement order departs from the oracle at cells={cells} seed={seed}"
+    );
+    assert_eq!(
+        netlist.isomorphic_signature(),
+        netlist.isomorphic_signature_oracle(),
+        "signature departs from the oracle at cells={cells} seed={seed}"
+    );
 
     let started = Instant::now();
     let serial =

@@ -337,8 +337,12 @@ pub fn extract_signature(
     engine.query(Stage::EXTRACT, key, stats, || {
         let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
             .map_err(|e| e.to_string())?;
+        let signature = {
+            let _span = engine.tracer().span("netlist.signature");
+            extracted.netlist.isomorphic_signature()
+        };
         Ok(ExtractSnapshot {
-            signature: extracted.netlist.isomorphic_signature(),
+            signature,
             transistors: extracted.transistor_count() as u64,
             nets: extracted.nets as u64,
         })
@@ -545,7 +549,10 @@ pub fn pnr_products(
                 .map_err(|e| e.to_string())?;
         let extracted = silc_extract::extract_traced(&out.library, out.root, tracer)
             .map_err(|e| e.to_string())?;
-        let lvs_ok = extracted.netlist.structurally_matches(netlist);
+        let lvs_ok = {
+            let _span = tracer.span("netlist.lvs");
+            extracted.netlist.structurally_matches(netlist)
+        };
         let cif = CifWriter::new()
             .with_tracer(tracer.clone())
             .write_to_string(&out.library, out.root)

@@ -238,16 +238,90 @@ impl Netlist {
     /// `Some(k)` stops after exactly `k` rounds (used by tests to pin the
     /// shallow-refinement failure mode).
     ///
+    /// Nets find their pins through a CSR adjacency built once per call,
+    /// so a round costs O(pins · log pins) rather than O(nets · pins).
+    /// The hashed strings are exactly those of the original
+    /// scan-every-pin formulation (`kind:port`, `port=label`,
+    /// `port@label`, each chained as `prev|…`), so signatures are
+    /// byte-identical to it — and to signatures already in caches.
+    ///
     /// [`isomorphic_signature`]: Netlist::isomorphic_signature
     fn refined_signature(&self, rounds: Option<usize>) -> Vec<String> {
-        fn compress(raw: &str) -> String {
-            let mut h = FpHasher::new();
-            h.write_str(raw);
-            h.finish().to_hex()
+        let adj = self.pin_index();
+        let mut buf = String::new();
+        // Initial net labels: sorted multiset of (kind, port) pins.
+        let mut keys = Vec::new();
+        let mut net_labels: Vec<String> = (0..self.nets.len())
+            .map(|ni| {
+                keys.clear();
+                keys.extend(adj.pins(NetId(ni as u32)).iter().map(|&(ii, ci)| {
+                    let inst = &self.instances[ii.raw() as usize];
+                    (inst.kind.as_str(), inst.connections[ci].0.as_str())
+                }));
+                buf.clear();
+                join_sorted(&mut buf, &mut keys, ':', ',');
+                compress(&buf)
+            })
+            .collect();
+        let max_rounds = rounds.unwrap_or(self.nets.len() + self.instances.len() + 1);
+        let mut inst_labels: Vec<String> = vec![String::new(); self.instances.len()];
+        let mut prev_classes = 0;
+        for _ in 0..max_rounds {
+            // One key buffer per pass: each borrows the labels the other
+            // pass rewrites.
+            let mut keys = Vec::new();
+            for (ii, inst) in self.instances.iter().enumerate() {
+                keys.clear();
+                keys.extend(
+                    inst.connections
+                        .iter()
+                        .map(|(p, n)| (p.as_str(), net_labels[n.raw() as usize].as_str())),
+                );
+                buf.clear();
+                buf.push_str(&inst_labels[ii]);
+                buf.push('|');
+                buf.push_str(&inst.kind);
+                buf.push('(');
+                join_sorted(&mut buf, &mut keys, '=', ';');
+                buf.push(')');
+                inst_labels[ii] = compress(&buf);
+            }
+            let mut keys = Vec::new();
+            for (ni, label) in net_labels.iter_mut().enumerate() {
+                keys.clear();
+                keys.extend(adj.pins(NetId(ni as u32)).iter().map(|&(ii, ci)| {
+                    let ii = ii.raw() as usize;
+                    (
+                        self.instances[ii].connections[ci].0.as_str(),
+                        inst_labels[ii].as_str(),
+                    )
+                }));
+                buf.clear();
+                buf.push_str(label);
+                buf.push('|');
+                join_sorted(&mut buf, &mut keys, '@', ',');
+                *label = compress(&buf);
+            }
+            if rounds.is_none() {
+                // Chained labels mean classes only split; an unchanged
+                // count is therefore a stable partition, and a stable
+                // round can never be followed by a splitting one.
+                let classes = class_count(&inst_labels) + class_count(&net_labels);
+                if classes == prev_classes {
+                    break;
+                }
+                prev_classes = classes;
+            }
         }
-        fn class_count(labels: &[String]) -> usize {
-            labels.iter().collect::<HashSet<_>>().len()
-        }
+        inst_labels.sort_unstable();
+        inst_labels
+    }
+
+    /// The original label refinement, which rescans every pin of every
+    /// instance for each net in each round: O(rounds · nets · pins).
+    /// Kept as the byte-identity oracle for [`Netlist::refined_signature`].
+    #[cfg(any(test, feature = "oracle"))]
+    fn refined_signature_oracle(&self, rounds: Option<usize>) -> Vec<String> {
         // Initial net labels: sorted multiset of (kind, port) pins.
         let mut net_labels: Vec<String> = vec![String::new(); self.nets.len()];
         for (ni, label) in net_labels.iter_mut().enumerate() {
@@ -293,9 +367,6 @@ impl Netlist {
             }
             net_labels = next_nets;
             if rounds.is_none() {
-                // Chained labels mean classes only split; an unchanged
-                // count is therefore a stable partition, and a stable
-                // round can never be followed by a splitting one.
                 let classes = class_count(&inst_labels) + class_count(&net_labels);
                 if classes == prev_classes {
                     break;
@@ -307,6 +378,38 @@ impl Netlist {
         inst_labels
     }
 
+    /// [`isomorphic_signature`](Netlist::isomorphic_signature) computed
+    /// by the original quadratic refinement — the equivalence oracle the
+    /// proptests and E10's corpus check hold the adjacency-indexed one to.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn isomorphic_signature_oracle(&self) -> Vec<String> {
+        self.refined_signature_oracle(None)
+    }
+
+    /// Net → pin adjacency, built in one pass over the connections:
+    /// every pin grouped by the net it binds.
+    pub fn pin_index(&self) -> PinIndex {
+        let mut start = vec![0u32; self.nets.len() + 1];
+        for inst in &self.instances {
+            for (_, n) in &inst.connections {
+                start[n.raw() as usize + 1] += 1;
+            }
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut fill = start.clone();
+        let mut pins = vec![(InstanceId(0), 0); start[self.nets.len()] as usize];
+        for (ii, inst) in self.instances.iter().enumerate() {
+            for (ci, (_, n)) in inst.connections.iter().enumerate() {
+                let slot = &mut fill[n.raw() as usize];
+                pins[*slot as usize] = (InstanceId(ii as u32), ci);
+                *slot += 1;
+            }
+        }
+        PinIndex { start, pins }
+    }
+
     /// Structural equality up to renaming, via
     /// [`isomorphic_signature`](Netlist::isomorphic_signature).
     pub fn structurally_matches(&self, other: &Netlist) -> bool {
@@ -316,9 +419,71 @@ impl Netlist {
     }
 
     fn nets_with_pins(&self) -> usize {
-        (0..self.nets.len())
-            .filter(|&ni| self.fanout(NetId(ni as u32)) > 0)
-            .count()
+        let mut pinned = vec![false; self.nets.len()];
+        for inst in &self.instances {
+            for (_, n) in &inst.connections {
+                pinned[n.raw() as usize] = true;
+            }
+        }
+        pinned.into_iter().filter(|&p| p).count()
+    }
+}
+
+/// Net → pin adjacency in CSR form (the shape of `silc-geom`'s
+/// `RectIndex` bins), from [`Netlist::pin_index`].
+#[derive(Debug, Clone)]
+pub struct PinIndex {
+    start: Vec<u32>,
+    pins: Vec<(InstanceId, usize)>,
+}
+
+impl PinIndex {
+    /// The pins on `net`, each an `(instance, connection index)` pair,
+    /// in netlist order; an instance binding `net` on two ports appears
+    /// twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a foreign id.
+    pub fn pins(&self, net: NetId) -> &[(InstanceId, usize)] {
+        let n = net.raw() as usize;
+        &self.pins[self.start[n] as usize..self.start[n + 1] as usize]
+    }
+}
+
+/// Compresses a refinement label to a fixed-size content hash.
+fn compress(raw: &str) -> String {
+    let mut h = FpHasher::new();
+    h.write_str(raw);
+    h.finish().to_hex()
+}
+
+fn class_count(labels: &[String]) -> usize {
+    labels.iter().collect::<HashSet<_>>().len()
+}
+
+/// Appends `a{sep}b` for every pair, sorted as those joined strings
+/// sort, separated by `delim` — exactly `pairs.map(format).sorted().join`,
+/// without allocating the joined strings.
+fn join_sorted(buf: &mut String, pairs: &mut [(&str, &str)], sep: char, delim: char) {
+    fn joined<'a>((a, b): (&'a str, &'a str), sep: u8) -> impl Iterator<Item = u8> + 'a {
+        a.bytes().chain(std::iter::once(sep)).chain(b.bytes())
+    }
+    debug_assert!(sep.is_ascii(), "joiners are single bytes");
+    pairs.sort_unstable_by(|x, y| {
+        if x.0 == y.0 {
+            x.1.cmp(y.1)
+        } else {
+            joined(*x, sep as u8).cmp(joined(*y, sep as u8))
+        }
+    });
+    for (i, (a, b)) in pairs.iter().enumerate() {
+        if i > 0 {
+            buf.push(delim);
+        }
+        buf.push_str(a);
+        buf.push(sep);
+        buf.push_str(b);
     }
 }
 
@@ -509,6 +674,76 @@ mod tests {
         let a = buf_chains(&[8, 12]);
         let b = buf_chains(&[12, 8]);
         assert!(a.structurally_matches(&b));
+    }
+
+    /// A netlist from generated specs. Kinds and ports include names
+    /// that are prefixes of one another and names holding the `:`, `=`
+    /// and `@` joiners, so the sort order of the joined strings differs
+    /// from a plain tuple sort; nets past every spec'd binding stay
+    /// pinless, and nothing stops one instance binding a net (or a port
+    /// name) twice.
+    fn from_specs(nets: usize, specs: &[(usize, Vec<(usize, usize)>)]) -> Netlist {
+        const KINDS: [&str; 4] = ["enh", "en", "e:h", "dep"];
+        const PORTS: [&str; 6] = ["g", "g=", "ga", "s", "s@x", "d"];
+        let mut n = Netlist::new("prop");
+        let ids: Vec<NetId> = (0..nets).map(|i| n.add_net(format!("n{i}"))).collect();
+        for (ii, (kind, conns)) in specs.iter().enumerate() {
+            let conns: Vec<(&str, NetId)> = conns
+                .iter()
+                .map(|&(p, net)| (PORTS[p % PORTS.len()], ids[net % nets]))
+                .collect();
+            n.add_instance(format!("i{ii}"), KINDS[kind % KINDS.len()], &conns)
+                .unwrap();
+        }
+        n
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        /// The adjacency-indexed refinement hashes exactly the strings
+        /// the quadratic oracle hashes, at a fixpoint and after any
+        /// fixed number of rounds.
+        #[test]
+        fn indexed_signature_matches_oracle(
+            nets in 1usize..12,
+            specs in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec((0usize..6, 0usize..12), 0..5)),
+                0..16,
+            ),
+            // 0 runs to a fixpoint; k > 0 stops after k - 1 rounds.
+            rounds in 0usize..6,
+        ) {
+            let rounds = rounds.checked_sub(1);
+            let n = from_specs(nets, &specs);
+            proptest::prop_assert_eq!(
+                n.refined_signature(rounds),
+                n.refined_signature_oracle(rounds)
+            );
+        }
+    }
+
+    #[test]
+    fn indexed_signature_matches_oracle_on_fixed_shapes() {
+        for n in [
+            inverter_pair(["a", "mid", "q", "vdd"]),
+            buf_chains(&[10, 10]),
+            buf_chains(&[8, 12, 1]),
+            // One net on two ports of the same instance, plus a pinless net.
+            from_specs(3, &[(0, vec![(0, 0), (3, 0)]), (1, vec![(5, 1), (2, 0)])]),
+        ] {
+            assert_eq!(n.isomorphic_signature(), n.isomorphic_signature_oracle());
+            assert_eq!(
+                n.refined_signature(Some(2)),
+                n.refined_signature_oracle(Some(2))
+            );
+        }
+    }
+
+    #[test]
+    fn nets_with_pins_skips_pinless_nets() {
+        let n = from_specs(4, &[(0, vec![(0, 0), (3, 0)]), (1, vec![(5, 2)])]);
+        assert_eq!(n.nets_with_pins(), 2);
     }
 
     #[test]

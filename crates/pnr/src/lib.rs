@@ -41,6 +41,8 @@ mod route;
 mod stack;
 
 pub use error::PnrError;
+#[cfg(any(test, feature = "oracle"))]
+pub use place::greedy_order_oracle;
 pub use place::{place, Floorplan, PlacedCell, PlacedPin, Placement};
 pub use route::MAX_RIPUP_ROUNDS;
 pub use stack::{Dir, RouteLayer, RouteStack, ViaRule};

@@ -15,7 +15,8 @@ use silc_geom::{Fingerprint, FpHasher, Rect, Vector};
 use silc_layout::Layer;
 use silc_netlist::Netlist;
 use silc_trace::Tracer;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A regular array of cell sites on the track grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,8 +199,108 @@ pub fn place(
         });
     }
 
-    // Greedy ordering: next cell is the unplaced instance most
-    // connected to the placed set.
+    let order = greedy_order(netlist);
+    let mut cells = Vec::with_capacity(order.len());
+    for (slot, &i) in order.iter().enumerate() {
+        let inst = &instances[i];
+        let leaf: LeafCell = leaf_cell(&inst.kind, stack).map_err(|e| match e {
+            PnrError::UnsupportedKind { kind, .. } => PnrError::UnsupportedKind {
+                instance: inst.name.clone(),
+                kind,
+            },
+            other => other,
+        })?;
+        let site = floorplan.site(slot);
+        let mut pins = Vec::with_capacity(leaf.pins.len());
+        for pin in leaf.pins {
+            // The last binding of a port wins, as in a port → net map.
+            let net = inst
+                .connections
+                .iter()
+                .rev()
+                .find(|(p, _)| p == pin.port)
+                .map(|&(_, n)| n)
+                .ok_or_else(|| PnrError::UnsupportedKind {
+                    instance: inst.name.clone(),
+                    kind: format!("{} (missing port `{}`)", inst.kind, pin.port),
+                })?;
+            pins.push(PlacedPin {
+                net: net.raw(),
+                net_name: netlist.net_name(net).to_string(),
+                col: site.0 + pin.dcol,
+                row: site.1 + pin.drow,
+            });
+        }
+        cells.push(PlacedCell {
+            instance: inst.name.clone(),
+            kind: inst.kind.clone(),
+            site,
+            pins,
+        });
+    }
+    tracer.add("pnr.cells", cells.len() as u64);
+    Ok(Placement {
+        cells,
+        floorplan: floorplan.clone(),
+    })
+}
+
+/// Greedy placement order: the next cell is the unplaced instance
+/// sharing the most distinct nets with the placed set, ties to the
+/// lowest netlist index.
+///
+/// Incremental: `shared[i]` counts instance `i`'s distinct nets already
+/// placed. When a net is placed for the first time, every unplaced
+/// instance on it (found through the netlist's net → pin index) gains
+/// one; the pick comes off a max-heap keyed `(shared, Reverse(index))`
+/// with lazy deletion (an entry is stale once its instance is placed or
+/// its count has moved on). Counts only grow, so the current entry of
+/// every unplaced instance is in the heap and outranks its stale ones.
+/// O(pins · log n) overall, against the O(n²) rescan of
+/// [`greedy_order_oracle`], with the same order.
+pub(crate) fn greedy_order(netlist: &Netlist) -> Vec<usize> {
+    let instances = netlist.instances();
+    let by_net = netlist.pin_index();
+    let mut shared = vec![0usize; instances.len()];
+    let mut placed = vec![false; instances.len()];
+    let mut net_placed = vec![false; netlist.nets().len()];
+    // The net that last bumped each instance: one with two pins on a
+    // net gains once from it.
+    let mut bumped_by = vec![None; instances.len()];
+    let mut heap: BinaryHeap<(usize, Reverse<usize>)> =
+        (0..instances.len()).map(|i| (0, Reverse(i))).collect();
+    let mut order = Vec::with_capacity(instances.len());
+    while let Some((gain, Reverse(best))) = heap.pop() {
+        if placed[best] || gain != shared[best] {
+            continue;
+        }
+        placed[best] = true;
+        order.push(best);
+        for &(_, net) in &instances[best].connections {
+            if std::mem::replace(&mut net_placed[net.raw() as usize], true) {
+                continue;
+            }
+            for &(j, _) in by_net.pins(net) {
+                let j = j.raw() as usize;
+                if !placed[j] && bumped_by[j] != Some(net) {
+                    bumped_by[j] = Some(net);
+                    shared[j] += 1;
+                    heap.push((shared[j], Reverse(j)));
+                }
+            }
+        }
+    }
+    order
+}
+
+/// The original greedy ordering: each step rescans every unplaced
+/// instance with a `HashSet` intersection against the placed nets and
+/// removes the winner from a `Vec` — O(n²). Kept as the order-identity
+/// oracle for [`greedy_order`] in the proptests and E10's corpus check.
+#[cfg(any(test, feature = "oracle"))]
+pub fn greedy_order_oracle(netlist: &Netlist) -> Vec<usize> {
+    use std::collections::HashSet;
+    let instances = netlist.instances();
     let nets_of: Vec<HashSet<u32>> = instances
         .iter()
         .map(|inst| inst.connections.iter().map(|&(_, n)| n.raw()).collect())
@@ -221,58 +322,7 @@ pub fn place(
         placed_nets.extend(nets_of[best].iter().copied());
         order.push(best);
     }
-
-    let mut cells = Vec::with_capacity(order.len());
-    for (slot, &i) in order.iter().enumerate() {
-        let inst = &instances[i];
-        let leaf: LeafCell = leaf_cell(&inst.kind, stack).map_err(|e| match e {
-            PnrError::UnsupportedKind { kind, .. } => PnrError::UnsupportedKind {
-                instance: inst.name.clone(),
-                kind,
-            },
-            other => other,
-        })?;
-        let bound: HashMap<&str, u32> = inst
-            .connections
-            .iter()
-            .map(|(p, n)| (p.as_str(), n.raw()))
-            .collect();
-        let site = floorplan.site(slot);
-        let mut pins = Vec::with_capacity(leaf.pins.len());
-        for pin in leaf.pins {
-            let net = *bound
-                .get(pin.port)
-                .ok_or_else(|| PnrError::UnsupportedKind {
-                    instance: inst.name.clone(),
-                    kind: format!("{} (missing port `{}`)", inst.kind, pin.port),
-                })?;
-            pins.push(PlacedPin {
-                net,
-                net_name: net_name(netlist, net),
-                col: site.0 + pin.dcol,
-                row: site.1 + pin.drow,
-            });
-        }
-        cells.push(PlacedCell {
-            instance: inst.name.clone(),
-            kind: inst.kind.clone(),
-            site,
-            pins,
-        });
-    }
-    tracer.add("pnr.cells", cells.len() as u64);
-    Ok(Placement {
-        cells,
-        floorplan: floorplan.clone(),
-    })
-}
-
-fn net_name(netlist: &Netlist, raw: u32) -> String {
-    netlist
-        .nets()
-        .get(raw as usize)
-        .map(|n| n.name.clone())
-        .unwrap_or_else(|| format!("net{raw}"))
+    order
 }
 
 #[cfg(test)]
@@ -289,6 +339,63 @@ mod tests {
         n.add_instance("m1", "enh", &[("gate", b), ("src", c), ("drn", a)])
             .unwrap();
         n
+    }
+
+    /// Transistors over `nets` nets from `(gate, src, drn)` index
+    /// triples; small pools make nearly every step a tie.
+    fn from_triples(nets: usize, triples: &[(usize, usize, usize)]) -> Netlist {
+        let mut n = Netlist::new("ties");
+        let ids: Vec<_> = (0..nets.max(1))
+            .map(|i| n.add_net(format!("t{i}")))
+            .collect();
+        for (i, &(g, s, d)) in triples.iter().enumerate() {
+            let pick = |k: usize| ids[k % ids.len()];
+            n.add_instance(
+                format!("m{i}"),
+                "enh",
+                &[("gate", pick(g)), ("src", pick(s)), ("drn", pick(d))],
+            )
+            .unwrap();
+        }
+        n
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The incremental gain heap picks exactly the oracle's order on
+        /// the generator's netlists.
+        #[test]
+        fn greedy_order_matches_oracle_on_generated_netlists(
+            seed in 0u64..1_000_000,
+            cells in 0usize..120,
+        ) {
+            let n = crate::gen::random_netlist(seed, cells);
+            proptest::prop_assert_eq!(greedy_order(&n), greedy_order_oracle(&n));
+        }
+
+        /// Tie-heavy netlists: few nets, repeated nets within one
+        /// instance, pinless nets.
+        #[test]
+        fn greedy_order_matches_oracle_on_tie_heavy_netlists(
+            nets in 1usize..6,
+            triples in proptest::collection::vec((0usize..8, 0usize..8, 0usize..8), 0..40),
+        ) {
+            let n = from_triples(nets, &triples);
+            proptest::prop_assert_eq!(greedy_order(&n), greedy_order_oracle(&n));
+        }
+    }
+
+    #[test]
+    fn greedy_order_matches_oracle_on_hand_built_ties() {
+        let disjoint: Vec<_> = (0..9).map(|i| (3 * i, 3 * i + 1, 3 * i + 2)).collect();
+        let one_net = vec![(0, 0, 0); 7];
+        let star: Vec<_> = (0..8).map(|i| (0, i + 1, i + 1)).collect();
+        let chain: Vec<_> = (0..10).rev().map(|i| (i, i + 1, i + 1)).collect();
+        for (nets, triples) in [(27, disjoint), (1, one_net), (9, star), (11, chain)] {
+            let n = from_triples(nets, &triples);
+            assert_eq!(greedy_order(&n), greedy_order_oracle(&n), "{n}");
+        }
     }
 
     #[test]
